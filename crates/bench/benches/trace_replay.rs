@@ -6,8 +6,10 @@
 //! shared L2 — either by executing the application live through the
 //! Kahn-process-network runtime (`live_mpeg2`) or by replaying the
 //! recorded trace through `ReplaySystem` (`replay_mpeg2`); a cold
-//! validate-and-decode benchmark (`decode_cold`) isolates the codec cost
-//! a sweep pays once. Both simulation
+//! benchmark (`decode_cold`) isolates the codec cost of validating the
+//! trace and materialising its decoded access runs (what the runs-based
+//! consumers pay; a sweep validates once and then streams the records
+//! through its L1 filter pass without materialising them). Both simulation
 //! paths produce bit-identical L2 snapshots (asserted at start-up), so the
 //! ratio of the two medians is the speed-up sweeps enjoy; the committed
 //! `BENCH_trace.json` baseline is produced with

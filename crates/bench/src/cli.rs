@@ -1847,7 +1847,9 @@ fn info(
     match EncodedCurves::read_from(&sidecar) {
         Ok(curves) => {
             let header = curves.header();
-            let matches = curves.validate_for_trace(trace.trace().bytes()).is_ok();
+            let matches = curves
+                .validate_for_hash(trace.trace().content_hash())
+                .is_ok();
             outln!(
                 out,
                 "curve sidecar {}: {} window(s), sets {}..={}, up to {} ways — {}",

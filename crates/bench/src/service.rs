@@ -216,7 +216,7 @@ fn sidecar_answers(store: &CurveStore, trace: u64, verb: &str, argv: &[String]) 
         return false;
     };
     if encoded
-        .validate_for_trace(prepared.trace().bytes())
+        .validate_for_hash(prepared.trace().content_hash())
         .is_err()
     {
         return false;

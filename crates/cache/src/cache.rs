@@ -1,7 +1,6 @@
 //! The set-associative cache core shared by all organisations.
 
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 
@@ -10,8 +9,8 @@ use compmem_trace::{Access, LineAddr, RegionId, TaskId};
 use crate::config::CacheConfig;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
-use crate::set::CacheSet;
 use crate::stats::{CacheStats, StatsByKey};
+use crate::tags::TagArray;
 
 /// A line evicted by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,10 +68,8 @@ impl Hasher for LineAddrHasher {
     }
 }
 
-type LineSet = HashSet<LineAddr, BuildHasherDefault<LineAddrHasher>>;
-
 /// A set-associative, write-back, write-allocate cache with per-task and
-/// per-region miss attribution.
+/// per-region miss attribution: a [`TagArray`] plus the attribution maps.
 ///
 /// The cache operates on whatever set index the caller supplies, so the same
 /// core serves the conventional organisation (modulo indexing) and the
@@ -80,46 +77,34 @@ type LineSet = HashSet<LineAddr, BuildHasherDefault<LineAddrHasher>>;
 /// OS-loaded partition table).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetAssocCache {
-    geometry: CacheGeometry,
-    policy: ReplacementPolicy,
-    sets: Vec<CacheSet>,
-    stats: CacheStats,
+    tags: TagArray,
     by_task: StatsByKey<TaskId>,
     by_region: StatsByKey<RegionId>,
-    seen_lines: LineSet,
 }
 
 impl SetAssocCache {
     /// Creates an empty cache from a configuration.
     pub fn new(config: CacheConfig) -> Self {
-        let geometry = config.geometry();
-        let sets = (0..geometry.sets())
-            .map(|i| CacheSet::new(geometry.ways(), config.random_seed() ^ u64::from(i)))
-            .collect();
         SetAssocCache {
-            geometry,
-            policy: config.replacement_policy(),
-            sets,
-            stats: CacheStats::new(),
+            tags: TagArray::new(config),
             by_task: StatsByKey::new(),
             by_region: StatsByKey::new(),
-            seen_lines: LineSet::default(),
         }
     }
 
     /// Returns the geometry of the cache.
     pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
+        self.tags.geometry()
     }
 
     /// Returns the replacement policy of the cache.
     pub fn replacement_policy(&self) -> ReplacementPolicy {
-        self.policy
+        self.tags.replacement_policy()
     }
 
     /// Accesses the cache with conventional (modulo) set indexing.
     pub fn access(&mut self, access: &Access) -> AccessOutcome {
-        let index = self.geometry.index_of(access.addr.line());
+        let index = self.geometry().index_of(access.addr.line());
         self.access_at(index, u64::MAX, access)
     }
 
@@ -135,64 +120,32 @@ impl SetAssocCache {
         allowed_ways: u64,
         access: &Access,
     ) -> AccessOutcome {
-        assert!(
-            set_index < self.geometry.sets(),
-            "set index {set_index} out of range ({} sets)",
-            self.geometry.sets()
-        );
-        let line = access.addr.line();
-        let tag = self.geometry.tag_of(line);
-        let outcome = self.sets[set_index.index()].access(
-            tag,
-            access.kind.is_write(),
-            allowed_ways,
-            self.policy,
-        );
-        let evicted = outcome.evicted.map(|(tag, dirty)| EvictedLine {
-            line: LineAddr::new(tag),
-            dirty,
-        });
-        // Cold tracking only needs the set membership test on a miss: a hit
-        // line is resident, so it was necessarily inserted when it was
-        // first filled.
-        let cold = !outcome.hit && self.seen_lines.insert(line);
-        let writeback = evicted.is_some_and(|e| e.dirty);
-        self.stats.record(access.kind, outcome.hit, cold, writeback);
+        let outcome = self.tags.access_at(set_index, allowed_ways, access);
         self.by_task.record(access.task, outcome.hit);
         self.by_region.record(access.region, outcome.hit);
-        AccessOutcome {
-            hit: outcome.hit,
-            cold,
-            evicted,
-        }
+        outcome
     }
 
     /// Returns `true` if `line` is currently resident (under conventional
     /// indexing; no statistics or replacement state is updated).
     pub fn probe(&self, line: LineAddr) -> bool {
-        let index = self.geometry.index_of(line);
-        self.sets[index.index()].probe(self.geometry.tag_of(line))
+        self.tags.probe(line)
     }
 
     /// Returns `true` if `line` is resident in the given set.
     pub fn probe_at(&self, set_index: u32, line: LineAddr) -> bool {
-        self.sets[set_index.index()].probe(self.geometry.tag_of(line))
+        self.tags.probe_at(set_index, line)
     }
 
     /// Number of lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(CacheSet::occupancy).sum()
+        self.tags.occupancy()
     }
 
     /// Invalidates the whole cache, returning the number of dirty lines that
     /// would have been written back.
     pub fn flush(&mut self) -> u64 {
-        let mut dirty = 0;
-        for set in &mut self.sets {
-            dirty += set.flush().len() as u64;
-        }
-        self.seen_lines.clear();
-        dirty
+        self.tags.flush()
     }
 
     /// Invalidates one set, returning `(invalidated, dirty)` line counts.
@@ -205,31 +158,19 @@ impl SetAssocCache {
     ///
     /// Panics if `set_index` is out of range.
     pub fn flush_set(&mut self, set_index: u32) -> (u64, u64) {
-        assert!(
-            set_index < self.geometry.sets(),
-            "set index {set_index} out of range ({} sets)",
-            self.geometry.sets()
-        );
-        self.sets[set_index.index()].invalidate_ways(u64::MAX)
+        self.tags.flush_set_ways(set_index, u64::MAX)
     }
 
     /// Invalidates the ways selected by `mask` in **every** set, returning
     /// `(invalidated, dirty)` line counts; the cold-miss tracker is
     /// untouched, as in [`flush_set`](Self::flush_set).
     pub fn flush_ways(&mut self, mask: u64) -> (u64, u64) {
-        let mut invalidated = 0;
-        let mut dirty = 0;
-        for set in &mut self.sets {
-            let (i, d) = set.invalidate_ways(mask);
-            invalidated += i;
-            dirty += d;
-        }
-        (invalidated, dirty)
+        self.tags.flush_ways(mask)
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        self.tags.stats()
     }
 
     /// Per-task statistics.
@@ -244,19 +185,9 @@ impl SetAssocCache {
 
     /// Clears all statistics (contents stay resident).
     pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
+        self.tags.reset_stats();
         self.by_task = StatsByKey::new();
         self.by_region = StatsByKey::new();
-    }
-}
-
-trait SetIndexExt {
-    fn index(self) -> usize;
-}
-
-impl SetIndexExt for u32 {
-    fn index(self) -> usize {
-        self as usize
     }
 }
 

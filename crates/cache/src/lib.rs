@@ -5,9 +5,11 @@
 //! (Molnos et al., DATE 2005):
 //!
 //! * [`CacheGeometry`] / [`CacheConfig`] — line/set/way organisation.
-//! * [`SetAssocCache`] — a set-associative cache with selectable
-//!   [`ReplacementPolicy`] (LRU, tree-PLRU, FIFO, random), write-back /
-//!   write-allocate behaviour, and per-task / per-region miss accounting.
+//! * [`TagArray`] — the flat set-associative core: every way in one
+//!   array, selectable [`ReplacementPolicy`] (LRU, tree-PLRU, FIFO,
+//!   random), write-back / write-allocate behaviour, aggregate statistics.
+//! * [`SetAssocCache`] — a [`TagArray`] plus per-task / per-region miss
+//!   accounting.
 //! * [`CacheModel`] — the **object-safe** trait unifying the four L2
 //!   organisations of the study; the multiprocessor platform holds a
 //!   `Box<dyn CacheModel>`, so organisations are interchangeable at run
@@ -79,9 +81,11 @@ mod partition;
 mod profile;
 mod replacement;
 mod schedule;
+#[cfg(test)]
 mod set;
 mod spec;
 mod stats;
+mod tags;
 mod way_partition;
 
 pub use cache::{AccessOutcome, EvictedLine, SetAssocCache};
@@ -100,4 +104,5 @@ pub use replacement::ReplacementPolicy;
 pub use schedule::{FlushStats, PartitionSchedule, ScheduleStep};
 pub use spec::OrganizationSpec;
 pub use stats::{CacheStats, KeyStats, StatsByKey};
+pub use tags::TagArray;
 pub use way_partition::{WayAllocation, WayPartitionedCache};

@@ -1,4 +1,9 @@
-//! Per-set state of a set-associative cache.
+//! The per-set reference model of the cache core (test builds only).
+//!
+//! Three vectors per set and a victim search that first collects the
+//! allowed ways: the plainest statement of the four replacement policies.
+//! [`TagArray`](crate::TagArray) is checked against it outcome for
+//! outcome.
 
 use serde::{Deserialize, Serialize};
 

@@ -38,29 +38,27 @@ impl CacheStats {
         Self::default()
     }
 
-    /// Records one access outcome.
+    /// Records one access outcome. Branch-free: it runs on every access
+    /// of every cache, where hit and kind are data-dependent.
+    #[inline]
     pub(crate) fn record(&mut self, kind: AccessKind, hit: bool, cold: bool, writeback: bool) {
+        let miss = u64::from(!hit);
+        let (instr, load, store) = (
+            u64::from(kind == AccessKind::InstrFetch),
+            u64::from(kind == AccessKind::Load),
+            u64::from(kind == AccessKind::Store),
+        );
         self.accesses += 1;
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            if cold {
-                self.cold_misses += 1;
-            }
-        }
-        if writeback {
-            self.writebacks += 1;
-        }
-        let (acc, miss) = match kind {
-            AccessKind::InstrFetch => (&mut self.instr_accesses, &mut self.instr_misses),
-            AccessKind::Load => (&mut self.load_accesses, &mut self.load_misses),
-            AccessKind::Store => (&mut self.store_accesses, &mut self.store_misses),
-        };
-        *acc += 1;
-        if !hit {
-            *miss += 1;
-        }
+        self.hits += u64::from(hit);
+        self.misses += miss;
+        self.cold_misses += miss & u64::from(cold);
+        self.writebacks += u64::from(writeback);
+        self.instr_accesses += instr;
+        self.instr_misses += instr & miss;
+        self.load_accesses += load;
+        self.load_misses += load & miss;
+        self.store_accesses += store;
+        self.store_misses += store & miss;
     }
 
     /// Miss rate (misses / accesses), zero when there were no accesses.

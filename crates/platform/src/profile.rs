@@ -654,7 +654,7 @@ fn try_load_sidecar(
     let mismatch = |field: &'static str| CodecError::SidecarMismatch { field }.to_string();
     let encoded = EncodedCurves::read_from(sidecar).map_err(|e| e.to_string())?;
     encoded
-        .validate_for_trace(trace.trace().bytes())
+        .validate_for_hash(trace.trace().content_hash())
         .map_err(|e| e.to_string())?;
     if encoded.header().l1_signature != l1_filter_signature(config) {
         return Err(mismatch("l1 configuration"));

@@ -32,8 +32,10 @@
 //! L1 caches do not depend on the L2 organisation at all: the L2-bound
 //! refill stream — which access misses the L1, in what order, with which
 //! dirty victims — is a function of the trace and the L1 configuration
-//! alone. A [`PreparedTrace`] therefore filters the decoded runs through
-//! the L1s **once** per L1 configuration and caches the result; every
+//! alone. A [`PreparedTrace`] therefore streams the trace's records from
+//! the encoded bytes through the L1s **once** per L1 configuration —
+//! decoding and filtering in one pass, with no decoded copy of the trace —
+//! and caches the result; every
 //! [`ReplaySystem`] built from it replays only the refills (via
 //! [`MemorySystem::refill_burst`]), typically one to two orders of
 //! magnitude fewer accesses, with bus traffic, issue times and L2 state
@@ -45,8 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use compmem_cache::{
-    CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, PartitionSchedule,
-    SetAssocCache,
+    CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, PartitionSchedule, TagArray,
 };
 use compmem_trace::codec::{EncodedTrace, TraceRun, TraceSummary, TraceWriter};
 use compmem_trace::{Access, RegionTable};
@@ -144,10 +145,14 @@ struct FilterKey {
 /// [`profile_reader`](crate::profile_reader),
 /// [`TapProfiler`](crate::TapProfiler)) all route accesses through it, so
 /// the streams they see cannot drift apart.
+///
+/// The caches are bare [`TagArray`]s: a filter's only outputs are the
+/// refill stream and the aggregate L1 statistics, so per-task and
+/// per-region attribution would be dead work on every access.
 #[derive(Debug)]
 pub(crate) struct L1Filter {
-    l1i: Vec<SetAssocCache>,
-    l1d: Vec<SetAssocCache>,
+    l1i: Vec<TagArray>,
+    l1d: Vec<TagArray>,
 }
 
 impl L1Filter {
@@ -155,8 +160,8 @@ impl L1Filter {
     /// configurations.
     pub(crate) fn new(l1i: CacheConfig, l1d: CacheConfig, processors: usize) -> Self {
         L1Filter {
-            l1i: (0..processors).map(|_| SetAssocCache::new(l1i)).collect(),
-            l1d: (0..processors).map(|_| SetAssocCache::new(l1d)).collect(),
+            l1i: (0..processors).map(|_| TagArray::new(l1i)).collect(),
+            l1d: (0..processors).map(|_| TagArray::new(l1d)).collect(),
         }
     }
 
@@ -172,24 +177,43 @@ impl L1Filter {
     ///
     /// Returns [`PlatformError::ProcessorOutOfRange`] if `processor` is
     /// outside the filter's bank.
+    #[inline]
     pub(crate) fn access(
         &mut self,
         processor: usize,
         access: &Access,
     ) -> Result<compmem_cache::AccessOutcome, PlatformError> {
+        self.check(processor)?;
+        Ok(self.access_checked(processor, access))
+    }
+
+    /// Fails unless `processor` has a bank in this filter.
+    fn check(&self, processor: usize) -> Result<(), PlatformError> {
+        let processors = self.l1d.len();
+        if processor < processors {
+            Ok(())
+        } else {
+            Err(PlatformError::ProcessorOutOfRange {
+                processor,
+                processors,
+            })
+        }
+    }
+
+    /// [`access`](Self::access) for a processor already
+    /// [`check`](Self::check)ed.
+    #[inline]
+    fn access_checked(
+        &mut self,
+        processor: usize,
+        access: &Access,
+    ) -> compmem_cache::AccessOutcome {
         let bank = if access.kind.is_instruction() {
             &mut self.l1i
         } else {
             &mut self.l1d
         };
-        let processors = bank.len();
-        let l1 = bank
-            .get_mut(processor)
-            .ok_or(PlatformError::ProcessorOutOfRange {
-                processor,
-                processors,
-            })?;
-        Ok(l1.access(access))
+        bank[processor].access(access)
     }
 
     /// Runs one access through the filter; returns `true` if it misses
@@ -216,8 +240,9 @@ impl L1Filter {
 ///
 /// Wraps the [`EncodedTrace`] together with a cache of L1-filtered run
 /// lists keyed by L1 configuration, so an organisation sweep pays the
-/// decode once (cached inside the trace) and the L1 simulation once per
-/// distinct L1 configuration — usually once.
+/// decode and the L1 simulation — one fused pass streaming the encoded
+/// records straight into the L1s — once per distinct L1 configuration,
+/// usually once.
 #[derive(Debug)]
 pub struct PreparedTrace {
     trace: Arc<EncodedTrace>,
@@ -329,48 +354,70 @@ impl PreparedTrace {
     }
 }
 
-/// Filters one recorded run through `filter`, charging processor bank
-/// `bank` (the run's global processor index in the serial pass, 0 in the
-/// single-bank per-processor workers of the parallel pass).
-fn filter_one_run(
-    filter: &mut L1Filter,
-    bank: usize,
-    run: &TraceRun,
-) -> Result<FilteredRun, PlatformError> {
-    let mut filtered = FilteredRun {
-        processor: run.processor,
-        start_cycle: run.start_cycle,
+/// Runs one access of `run` through `filter`'s processor bank `bank`
+/// (already checked), appending it to the run's refills if it misses the
+/// L1.
+#[inline]
+fn filter_access(filter: &mut L1Filter, bank: usize, run: &mut FilteredRun, access: &Access) {
+    let outcome = filter.access_checked(bank, access);
+    if !outcome.hit {
+        run.refills.push(L1Refill {
+            access: *access,
+            data_accesses_before: run.data_accesses,
+            l1_victim_dirty: outcome.evicted.is_some_and(|e| e.dirty),
+        });
+    }
+    if access.kind.is_instruction() {
+        run.instr_fetches += 1;
+    } else {
+        run.data_accesses += 1;
+    }
+}
+
+/// A filtered run about to receive its first access.
+fn open_run(processor: u32, start_cycle: u64) -> FilteredRun {
+    FilteredRun {
+        processor,
+        start_cycle,
         refills: Vec::new(),
         data_accesses: 0,
         instr_fetches: 0,
-    };
-    for access in &run.accesses {
-        let outcome = filter.access(bank, access)?;
-        if !outcome.hit {
-            filtered.refills.push(L1Refill {
-                access: *access,
-                data_accesses_before: filtered.data_accesses,
-                l1_victim_dirty: outcome.evicted.is_some_and(|e| e.dirty),
-            });
-        }
-        if access.kind.is_instruction() {
-            filtered.instr_fetches += 1;
-        } else {
-            filtered.data_accesses += 1;
-        }
     }
-    Ok(filtered)
 }
 
-/// Runs the decoded trace through fresh private L1s, keeping only the
-/// refills.
+/// Filters one recorded run through the single-bank `filter` of a
+/// per-processor worker of the parallel pass.
+fn filter_one_run(filter: &mut L1Filter, run: &TraceRun) -> FilteredRun {
+    let mut filtered = open_run(run.processor, run.start_cycle);
+    for access in &run.accesses {
+        filter_access(filter, 0, &mut filtered, access);
+    }
+    filtered
+}
+
+/// The fused decode-and-filter pass: streams the trace's records straight
+/// from the encoded bytes through fresh private L1s, keeping only the
+/// refills. No access run is materialised; filtered runs follow the run
+/// rule of the decoder's `collect_runs` — a new run only when the
+/// processor changes, segment seams included.
 fn filter_trace(trace: &EncodedTrace, key: FilterKey) -> Result<FilteredTrace, PlatformError> {
     let processors = (trace.processors() as usize).max(1);
     let mut filter = L1Filter::new(key.l1i, key.l1d, processors);
-    let mut runs = Vec::with_capacity(trace.runs().len());
-    for run in trace.runs() {
-        runs.push(filter_one_run(&mut filter, run.processor as usize, run)?);
+    let mut runs: Vec<FilteredRun> = Vec::with_capacity(trace.summary().runs as usize);
+    let mut current: Option<FilteredRun> = None;
+    let mut reader = trace.reader();
+    while let Some(record) = reader.next_record().expect("validated at construction") {
+        let run = match &mut current {
+            Some(run) if run.processor == record.processor => run,
+            _ => {
+                filter.check(record.processor as usize)?;
+                runs.extend(current.take());
+                current.insert(open_run(record.processor, record.cycle))
+            }
+        };
+        filter_access(&mut filter, record.processor as usize, run, &record.access);
     }
+    runs.extend(current);
     Ok(FilteredTrace {
         runs,
         l1_aggregate: filter.aggregate_stats(),
@@ -420,8 +467,7 @@ fn filter_trace_parallel(
                 let mut filter = L1Filter::new(key.l1i, key.l1d, 1);
                 let mut filtered_runs = Vec::with_capacity(by_processor[p].len());
                 for &index in &by_processor[p] {
-                    let filtered = filter_one_run(&mut filter, 0, &runs[index])
-                        .expect("processor indices validated before the workers start");
+                    let filtered = filter_one_run(&mut filter, &runs[index]);
                     filtered_runs.push((index, filtered));
                 }
                 *slots[p].lock().expect("filter slot poisoned") =
@@ -470,7 +516,7 @@ pub struct ReplayCounters {
 /// One recorded processor replayed as a discrete-event actor.
 ///
 /// A replay processor holds the sub-sequence of trace runs its recorded
-/// processor issued, as *global sequence numbers* into the trace's decoded
+/// processor issued, as *global sequence numbers* into the trace's filtered
 /// run list. The replay event loop keys processors by the sequence number
 /// of their next run, so popping the earliest event always yields the
 /// globally next run of the recording — the hierarchy sees the exact

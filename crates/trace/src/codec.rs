@@ -73,6 +73,24 @@
 //!
 //! Decoding is strict: every branch is bounds-checked and corrupt input is
 //! reported as a [`CodecError`], never a panic.
+//!
+//! # One grammar, two byte paths
+//!
+//! [`TraceReader`] decodes each record through a single record grammar
+//! from one of two byte sources, picked per record by how much input is
+//! buffered. With at least a maximal record's width buffered (an ACCESS
+//! tag plus five 10-byte varints, 51 bytes) the record decodes straight
+//! from the buffer with no per-byte end-of-input check; near the end of
+//! the input (or of a short read) it takes the careful path that checks
+//! and refills byte by byte. Both paths apply every validation in the same
+//! order, so they accept the same streams and reject the same corrupt ones
+//! with the same error (`tests/codec_roundtrip.rs` checks this
+//! differentially with a reader that yields one byte per call).
+//!
+//! [`EncodedTrace::from_bytes`] validates a whole stream in one such pass
+//! and keeps only its summary and segment directory; consumers stream the
+//! records again from [`EncodedTrace::reader`] rather than holding a
+//! decoded copy.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -135,6 +153,9 @@ const FLAG_REPEAT: u8 = 0x04;
 
 /// Longest legal LEB128 encoding of a `u64`.
 const MAX_VARINT_BYTES: u32 = 10;
+/// Widest record: an ACCESS tag and five full-width varints (task, region,
+/// size, address delta, cycle gap).
+const MAX_RECORD_BYTES: usize = 1 + 5 * MAX_VARINT_BYTES as usize;
 
 /// Errors produced while encoding or decoding traces.
 #[derive(Debug)]
@@ -356,33 +377,99 @@ impl<R: Read> ByteSource<R> {
         Ok(self.len > 0)
     }
 
-    pub(crate) fn read_varint(&mut self) -> Result<u64, CodecError> {
-        let mut value: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.require_byte()?;
-            if shift >= 7 * MAX_VARINT_BYTES - 7 && byte > 1 {
-                return Err(CodecError::Corrupt {
-                    reason: "varint overflows 64 bits",
-                });
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-            if shift >= 7 * MAX_VARINT_BYTES {
-                return Err(CodecError::Corrupt {
-                    reason: "varint longer than 10 bytes",
-                });
-            }
-        }
+    /// The unread buffered bytes, if at least `min` of them are buffered —
+    /// the guard that admits a record to the unchecked fast path.
+    #[inline]
+    fn window(&self, min: usize) -> Option<&[u8]> {
+        (self.len - self.pos >= min).then(|| &self.buf[self.pos..self.len])
     }
 
-    fn read_zigzag(&mut self) -> Result<i64, CodecError> {
-        let raw = self.read_varint()?;
-        Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
+    /// Marks `n` bytes of the current [`window`](Self::window) consumed.
+    #[inline]
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
     }
+
+    pub(crate) fn read_varint(&mut self) -> Result<u64, CodecError> {
+        read_varint(self)
+    }
+}
+
+/// Where the record decoder pulls its bytes from: the buffered, end-checked
+/// [`ByteSource`] (the careful path) or a [`Window`] known to hold a whole
+/// record (the fast path). Both run the same record grammar.
+trait RecordBytes {
+    /// The next byte; the careful path reports a truncated stream.
+    fn byte(&mut self) -> Result<u8, CodecError>;
+    /// Absolute stream offset of the next unread byte.
+    fn offset(&self) -> u64;
+}
+
+impl<R: Read> RecordBytes for ByteSource<R> {
+    #[inline]
+    fn byte(&mut self) -> Result<u8, CodecError> {
+        self.require_byte()
+    }
+
+    #[inline]
+    fn offset(&self) -> u64 {
+        ByteSource::offset(self)
+    }
+}
+
+/// At least [`MAX_RECORD_BYTES`] buffered bytes: a whole record decodes
+/// from here with no end-of-input check or refill per byte.
+struct Window<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Stream offset of `bytes[0]`.
+    base: u64,
+}
+
+impl RecordBytes for Window<'_> {
+    #[inline(always)]
+    fn byte(&mut self) -> Result<u8, CodecError> {
+        // In bounds: the window holds a maximal record and no record reads
+        // past its own end.
+        let byte = self.bytes[self.pos];
+        self.pos += 1;
+        Ok(byte)
+    }
+
+    #[inline]
+    fn offset(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+}
+
+#[inline(always)]
+fn read_varint(r: &mut impl RecordBytes) -> Result<u64, CodecError> {
+    let mut value: u64 = 0;
+    let mut shift = 0u32;
+    loop {
+        let byte = r.byte()?;
+        if shift >= 7 * MAX_VARINT_BYTES - 7 && byte > 1 {
+            return Err(CodecError::Corrupt {
+                reason: "varint overflows 64 bits",
+            });
+        }
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+        shift += 7;
+        if shift >= 7 * MAX_VARINT_BYTES {
+            return Err(CodecError::Corrupt {
+                reason: "varint longer than 10 bytes",
+            });
+        }
+    }
+}
+
+#[inline(always)]
+fn read_zigzag(r: &mut impl RecordBytes) -> Result<i64, CodecError> {
+    let raw = read_varint(r)?;
+    Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
 }
 
 // ----- region table embedding -----
@@ -876,16 +963,43 @@ impl<W: Write> TraceWriter<W> {
 }
 
 /// Streaming decoder of the trace IR.
+///
+/// Each record decodes through one grammar from one of two byte sources,
+/// chosen per record by how many bytes are buffered: with at least a
+/// maximal record's width (51 bytes) in the buffer, the record
+/// decodes straight from the buffered slice with no per-byte end check;
+/// near the end of the input (or of a short read from the underlying
+/// reader) it takes the careful, end-checked path. Both paths apply every
+/// validation, in the same order, so they accept and reject the same
+/// streams with the same errors.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     inner: ByteSource<R>,
     table: RegionTable,
-    /// Bound for DEF_REGION validation; equals `table.len()` for
+    processors: u32,
+    version: u8,
+    state: DecodeState,
+    done: bool,
+    /// Decoding one sliced segment: the stream has no header, END record
+    /// or trailer, and simply ends at the slice boundary.
+    segment_mode: bool,
+    directory: Option<Vec<SegmentEntry>>,
+    /// Absolute offset of the END tag, once seen (the exclusive byte
+    /// bound of the last segment).
+    end_offset: u64,
+}
+
+/// The record decoder's context: dictionaries, the previous access and
+/// the segment bookkeeping the directory is checked against.
+#[derive(Debug)]
+struct DecodeState {
+    /// Bound for DEF_REGION validation; equals the table length for
     /// whole-stream readers, and is injected for table-less segment-slice
     /// readers.
     table_len: usize,
-    processors: u32,
-    version: u8,
+    /// Version 2 or later: records live in segments, and the END record
+    /// is followed by the directory they are checked against.
+    segmented: bool,
     task_dict: Vec<TaskId>,
     region_dict: Vec<RegionId>,
     prev_addr: u64,
@@ -894,21 +1008,221 @@ pub struct TraceReader<R: Read> {
     prev_region: Option<RegionId>,
     prev_size: u16,
     current_processor: Option<u32>,
-    done: bool,
-    /// Decoding one sliced segment: the stream has no header, END record
-    /// or trailer, and simply ends at the slice boundary.
-    segment_mode: bool,
     /// Whether records are currently legal (v2 requires them inside a
     /// SEGMENT; v1 has no segments, so the whole body counts as open).
     segment_open: bool,
     /// Directory entries re-derived from the records actually walked;
-    /// compared against the trailer at END.
+    /// compared against the trailer at END. The last entry's access
+    /// count and first cycle are filled in when the segment closes.
     observed_segments: Vec<SegmentEntry>,
-    pending_first_cycle: bool,
-    directory: Option<Vec<SegmentEntry>>,
-    /// Absolute offset of the END tag, once seen (the exclusive byte
-    /// bound of the last segment).
-    end_offset: u64,
+    /// Accesses of the open segment so far, and the cycle of its first.
+    segment_accesses: u64,
+    segment_first_cycle: u64,
+}
+
+/// What one decoded record amounts to.
+enum Step {
+    Access(TraceRecord),
+    /// A context record (dictionary entry, run or segment start).
+    Context,
+    End,
+}
+
+impl DecodeState {
+    fn new(table_len: usize, version: u8) -> Self {
+        DecodeState {
+            table_len,
+            segmented: version >= TRACE_VERSION,
+            task_dict: Vec::new(),
+            region_dict: Vec::new(),
+            prev_addr: 0,
+            prev_cycle: 0,
+            prev_task: None,
+            prev_region: None,
+            prev_size: 0,
+            current_processor: None,
+            segment_open: version == TRACE_VERSION_V1,
+            observed_segments: Vec::new(),
+            segment_accesses: 0,
+            segment_first_cycle: 0,
+        }
+    }
+
+    /// Decodes the record opened by `tag` (already consumed) from `r`.
+    #[inline(always)]
+    fn record(&mut self, r: &mut impl RecordBytes, tag: u8) -> Result<Step, CodecError> {
+        match tag {
+            t if t & TAG_ACCESS != 0 && self.segment_open => {
+                self.decode_access(r, t).map(Step::Access)
+            }
+            TAG_END => Ok(Step::End),
+            TAG_SEGMENT if self.segmented => {
+                // Segment boundary: snapshot the finished segment, then
+                // reset every piece of decode state — the next records
+                // depend on nothing before this tag.
+                let byte_offset = r.offset() - 1;
+                self.finalize_observed_segment();
+                self.task_dict.clear();
+                self.region_dict.clear();
+                self.prev_addr = 0;
+                self.prev_cycle = 0;
+                self.prev_task = None;
+                self.prev_region = None;
+                self.prev_size = 0;
+                self.current_processor = None;
+                self.segment_open = true;
+                self.segment_accesses = 0;
+                self.segment_first_cycle = 0;
+                self.observed_segments.push(SegmentEntry {
+                    byte_offset,
+                    first_cycle: 0,
+                    accesses: 0,
+                    regions: Vec::new(),
+                });
+                Ok(Step::Context)
+            }
+            TAG_DEF_TASK if self.segment_open => {
+                let raw = u32::try_from(read_varint(r)?).map_err(|_| CodecError::Corrupt {
+                    reason: "task id exceeds 32 bits",
+                })?;
+                self.task_dict.push(TaskId::new(raw));
+                Ok(Step::Context)
+            }
+            TAG_DEF_REGION if self.segment_open => {
+                let raw = u32::try_from(read_varint(r)?).map_err(|_| CodecError::Corrupt {
+                    reason: "region id exceeds 32 bits",
+                })?;
+                // A trace is a self-contained scenario: every region an
+                // access names must exist in the embedded table, or
+                // consumers indexing per-region state (the profiler, the
+                // profiling organisation) would be handed a bogus index.
+                if raw as usize >= self.table_len {
+                    return Err(CodecError::Corrupt {
+                        reason: "region id outside the embedded region table",
+                    });
+                }
+                self.region_dict.push(RegionId::new(raw));
+                Ok(Step::Context)
+            }
+            TAG_RUN if self.segment_open => {
+                let processor =
+                    u32::try_from(read_varint(r)?).map_err(|_| CodecError::Corrupt {
+                        reason: "processor id exceeds 32 bits",
+                    })?;
+                let delta = read_zigzag(r)?;
+                self.current_processor = Some(processor);
+                self.prev_cycle = self.prev_cycle.wrapping_add(delta as u64);
+                Ok(Step::Context)
+            }
+            TAG_DEF_TASK | TAG_DEF_REGION | TAG_RUN => Err(CodecError::Corrupt {
+                reason: "record outside a segment",
+            }),
+            t if t & TAG_ACCESS != 0 => Err(CodecError::Corrupt {
+                reason: "record outside a segment",
+            }),
+            _ => Err(CodecError::Corrupt {
+                reason: "unknown record tag",
+            }),
+        }
+    }
+
+    #[inline(always)]
+    fn decode_access(
+        &mut self,
+        r: &mut impl RecordBytes,
+        tag: u8,
+    ) -> Result<TraceRecord, CodecError> {
+        let processor = self.current_processor.ok_or(CodecError::Corrupt {
+            reason: "access before any RUN record",
+        })?;
+        let kind = match tag & 0x03 {
+            0 => AccessKind::InstrFetch,
+            1 => AccessKind::Load,
+            2 => AccessKind::Store,
+            _ => {
+                return Err(CodecError::Corrupt {
+                    reason: "invalid access kind",
+                })
+            }
+        };
+        let (task, region, size) = if tag & FLAG_REPEAT != 0 {
+            match (self.prev_task, self.prev_region) {
+                (Some(t), Some(r)) => (t, r, self.prev_size),
+                _ => {
+                    return Err(CodecError::Corrupt {
+                        reason: "context-repeat access with no previous access",
+                    })
+                }
+            }
+        } else {
+            let task_idx = read_varint(r)?;
+            let task = *self.task_dict.get(task_idx as usize).ok_or(
+                CodecError::UndefinedDictionaryEntry {
+                    kind: "task",
+                    index: task_idx,
+                },
+            )?;
+            let region_idx = read_varint(r)?;
+            let region = *self.region_dict.get(region_idx as usize).ok_or(
+                CodecError::UndefinedDictionaryEntry {
+                    kind: "region",
+                    index: region_idx,
+                },
+            )?;
+            let size = u16::try_from(read_varint(r)?).map_err(|_| CodecError::Corrupt {
+                reason: "access size exceeds 16 bits",
+            })?;
+            (task, region, size)
+        };
+        let addr_delta = read_zigzag(r)?;
+        let addr = self.prev_addr.wrapping_add(addr_delta as u64);
+        let gap = read_varint(r)?;
+        let cycle = self
+            .prev_cycle
+            .checked_add(gap)
+            .ok_or(CodecError::Corrupt {
+                reason: "cycle counter overflows",
+            })?;
+
+        self.prev_addr = addr;
+        self.prev_cycle = cycle;
+        self.prev_task = Some(task);
+        self.prev_region = Some(region);
+        self.prev_size = size;
+
+        if self.segment_accesses == 0 {
+            self.segment_first_cycle = cycle;
+        }
+        self.segment_accesses += 1;
+
+        Ok(TraceRecord {
+            processor,
+            cycle,
+            access: Access {
+                addr: Addr::new(addr),
+                kind,
+                size,
+                task,
+                region,
+            },
+        })
+    }
+
+    /// Completes the directory entry of the segment just walked: its
+    /// access count, first cycle, and region snapshot — exactly the
+    /// DEF_REGION records seen since the SEGMENT tag (the dictionary
+    /// resets there).
+    fn finalize_observed_segment(&mut self) {
+        if let Some(segment) = self.observed_segments.last_mut() {
+            segment.accesses = self.segment_accesses;
+            segment.first_cycle = self.segment_first_cycle;
+            if segment.regions.is_empty() {
+                let mut ids: Vec<u32> = self.region_dict.iter().map(|r| r.index() as u32).collect();
+                ids.sort_unstable();
+                segment.regions = ids.into_iter().map(RegionId::new).collect();
+            }
+        }
+    }
 }
 
 impl<R: Read> TraceReader<R> {
@@ -938,26 +1252,15 @@ impl<R: Read> TraceReader<R> {
         let processors = u32::try_from(inner.read_varint()?).map_err(|_| CodecError::Corrupt {
             reason: "processor count exceeds 32 bits",
         })?;
-        let table_len = table.len();
+        let state = DecodeState::new(table.len(), version);
         Ok(TraceReader {
             inner,
             table,
-            table_len,
             processors,
             version,
-            task_dict: Vec::new(),
-            region_dict: Vec::new(),
-            prev_addr: 0,
-            prev_cycle: 0,
-            prev_task: None,
-            prev_region: None,
-            prev_size: 0,
-            current_processor: None,
+            state,
             done: false,
             segment_mode: false,
-            segment_open: version == TRACE_VERSION_V1,
-            observed_segments: Vec::new(),
-            pending_first_cycle: false,
             directory: None,
             end_offset: 0,
         })
@@ -990,142 +1293,87 @@ impl<R: Read> TraceReader<R> {
     ///
     /// Returns a [`CodecError`] on corrupt input; the reader is then
     /// exhausted.
+    #[inline]
     pub fn next_record(&mut self) -> Result<Option<TraceRecord>, CodecError> {
         if self.done {
             return Ok(None);
         }
+        let next = self.decode_next();
+        if !matches!(next, Ok(Some(_))) {
+            self.done = true;
+        }
+        next
+    }
+
+    #[inline]
+    fn decode_next(&mut self) -> Result<Option<TraceRecord>, CodecError> {
         loop {
-            let tag = match self.inner.next_byte()? {
-                Some(t) => t,
-                None => {
-                    self.done = true;
-                    if self.segment_mode {
-                        // A sliced segment simply ends at its byte bound.
-                        return Ok(None);
-                    }
-                    return Err(CodecError::Corrupt {
-                        reason: "stream ends without an END record",
-                    });
+            let step = if let Some(bytes) = self.inner.window(MAX_RECORD_BYTES) {
+                // Fast path: a whole record is buffered.
+                let mut window = Window {
+                    bytes,
+                    pos: 1,
+                    base: self.inner.offset(),
+                };
+                let step = self.state.record(&mut window, bytes[0]);
+                let consumed = window.pos;
+                self.inner.consume(consumed);
+                step?
+            } else {
+                match self.careful_step()? {
+                    Some(step) => step,
+                    None => return Ok(None),
                 }
             };
-            match tag {
-                TAG_END => {
-                    self.done = true;
-                    if self.segment_mode {
-                        return Err(CodecError::Corrupt {
-                            reason: "segment slice contains an END record",
-                        });
-                    }
-                    self.end_offset = self.inner.offset() - 1;
-                    if self.version >= TRACE_VERSION {
-                        self.finalize_observed_segment();
-                        let directory = self.read_directory()?;
-                        if directory != self.observed_segments {
-                            return Err(CodecError::Corrupt {
-                                reason: "segment directory does not match the stream",
-                            });
-                        }
-                        self.directory = Some(directory);
-                    }
+            match step {
+                Step::Access(record) => return Ok(Some(record)),
+                Step::Context => {}
+                Step::End => {
+                    self.finish_body()?;
                     return Ok(None);
-                }
-                TAG_SEGMENT if self.version >= TRACE_VERSION => {
-                    // Segment boundary: snapshot the finished segment,
-                    // then reset every piece of decode state — the next
-                    // records depend on nothing before this tag.
-                    let byte_offset = self.inner.offset() - 1;
-                    self.finalize_observed_segment();
-                    self.task_dict.clear();
-                    self.region_dict.clear();
-                    self.prev_addr = 0;
-                    self.prev_cycle = 0;
-                    self.prev_task = None;
-                    self.prev_region = None;
-                    self.prev_size = 0;
-                    self.current_processor = None;
-                    self.segment_open = true;
-                    self.pending_first_cycle = true;
-                    self.observed_segments.push(SegmentEntry {
-                        byte_offset,
-                        first_cycle: 0,
-                        accesses: 0,
-                        regions: Vec::new(),
-                    });
-                }
-                TAG_DEF_TASK if self.segment_open => {
-                    let raw = u32::try_from(self.inner.read_varint()?).map_err(|_| {
-                        CodecError::Corrupt {
-                            reason: "task id exceeds 32 bits",
-                        }
-                    })?;
-                    self.task_dict.push(TaskId::new(raw));
-                }
-                TAG_DEF_REGION if self.segment_open => {
-                    let raw = u32::try_from(self.inner.read_varint()?).map_err(|_| {
-                        CodecError::Corrupt {
-                            reason: "region id exceeds 32 bits",
-                        }
-                    })?;
-                    // A trace is a self-contained scenario: every region an
-                    // access names must exist in the embedded table, or
-                    // consumers indexing per-region state (the profiler,
-                    // the profiling organisation) would be handed a bogus
-                    // index.
-                    if raw as usize >= self.table_len {
-                        self.done = true;
-                        return Err(CodecError::Corrupt {
-                            reason: "region id outside the embedded region table",
-                        });
-                    }
-                    self.region_dict.push(RegionId::new(raw));
-                }
-                TAG_RUN if self.segment_open => {
-                    let processor = u32::try_from(self.inner.read_varint()?).map_err(|_| {
-                        CodecError::Corrupt {
-                            reason: "processor id exceeds 32 bits",
-                        }
-                    })?;
-                    let delta = self.inner.read_zigzag()?;
-                    self.current_processor = Some(processor);
-                    self.prev_cycle = self.prev_cycle.wrapping_add(delta as u64);
-                }
-                t if t & TAG_ACCESS != 0 && self.segment_open => {
-                    return self.decode_access(t).map(Some)
-                }
-                TAG_DEF_TASK | TAG_DEF_REGION | TAG_RUN => {
-                    debug_assert!(!self.segment_open);
-                    self.done = true;
-                    return Err(CodecError::Corrupt {
-                        reason: "record outside a segment",
-                    });
-                }
-                t if t & TAG_ACCESS != 0 => {
-                    self.done = true;
-                    return Err(CodecError::Corrupt {
-                        reason: "record outside a segment",
-                    });
-                }
-                _ => {
-                    self.done = true;
-                    return Err(CodecError::Corrupt {
-                        reason: "unknown record tag",
-                    });
                 }
             }
         }
     }
 
-    /// Completes the directory entry of the segment just walked: its
-    /// region snapshot is exactly the DEF_REGION records seen since the
-    /// SEGMENT tag (the dictionary resets there).
-    fn finalize_observed_segment(&mut self) {
-        if let Some(segment) = self.observed_segments.last_mut() {
-            if segment.regions.is_empty() {
-                let mut ids: Vec<u32> = self.region_dict.iter().map(|r| r.index() as u32).collect();
-                ids.sort_unstable();
-                segment.regions = ids.into_iter().map(RegionId::new).collect();
+    /// Decodes one record on the careful path, every byte checked against
+    /// the end of the input; `None` when a segment slice ends. Kept out of
+    /// line so the fast path's loop stays small.
+    #[inline(never)]
+    fn careful_step(&mut self) -> Result<Option<Step>, CodecError> {
+        let Some(tag) = self.inner.next_byte()? else {
+            if self.segment_mode {
+                // A sliced segment simply ends at its byte bound.
+                return Ok(None);
             }
+            return Err(CodecError::Corrupt {
+                reason: "stream ends without an END record",
+            });
+        };
+        self.state.record(&mut self.inner, tag).map(Some)
+    }
+
+    /// Handles the END record: notes its offset, then parses the v2
+    /// directory trailer and checks it against the segments walked.
+    #[cold]
+    fn finish_body(&mut self) -> Result<(), CodecError> {
+        if self.segment_mode {
+            return Err(CodecError::Corrupt {
+                reason: "segment slice contains an END record",
+            });
         }
+        self.end_offset = self.inner.offset() - 1;
+        if self.state.segmented {
+            self.state.finalize_observed_segment();
+            let directory = self.read_directory()?;
+            if directory != self.state.observed_segments {
+                return Err(CodecError::Corrupt {
+                    reason: "segment directory does not match the stream",
+                });
+            }
+            self.directory = Some(directory);
+        }
+        Ok(())
     }
 
     /// Parses the directory trailer following the END record.
@@ -1165,92 +1413,6 @@ impl<R: Read> TraceReader<R> {
         Ok(entries)
     }
 
-    fn decode_access(&mut self, tag: u8) -> Result<TraceRecord, CodecError> {
-        let processor = self.current_processor.ok_or(CodecError::Corrupt {
-            reason: "access before any RUN record",
-        })?;
-        let kind = match tag & 0x03 {
-            0 => AccessKind::InstrFetch,
-            1 => AccessKind::Load,
-            2 => AccessKind::Store,
-            _ => {
-                self.done = true;
-                return Err(CodecError::Corrupt {
-                    reason: "invalid access kind",
-                });
-            }
-        };
-        let (task, region, size) = if tag & FLAG_REPEAT != 0 {
-            match (self.prev_task, self.prev_region) {
-                (Some(t), Some(r)) => (t, r, self.prev_size),
-                _ => {
-                    self.done = true;
-                    return Err(CodecError::Corrupt {
-                        reason: "context-repeat access with no previous access",
-                    });
-                }
-            }
-        } else {
-            let task_idx = self.inner.read_varint()?;
-            let task = *self.task_dict.get(task_idx as usize).ok_or(
-                CodecError::UndefinedDictionaryEntry {
-                    kind: "task",
-                    index: task_idx,
-                },
-            )?;
-            let region_idx = self.inner.read_varint()?;
-            let region = *self.region_dict.get(region_idx as usize).ok_or(
-                CodecError::UndefinedDictionaryEntry {
-                    kind: "region",
-                    index: region_idx,
-                },
-            )?;
-            let size =
-                u16::try_from(self.inner.read_varint()?).map_err(|_| CodecError::Corrupt {
-                    reason: "access size exceeds 16 bits",
-                })?;
-            (task, region, size)
-        };
-        let addr_delta = self.inner.read_zigzag()?;
-        let addr = self.prev_addr.wrapping_add(addr_delta as u64);
-        let gap = self.inner.read_varint()?;
-        let cycle = self
-            .prev_cycle
-            .checked_add(gap)
-            .ok_or(CodecError::Corrupt {
-                reason: "cycle counter overflows",
-            })?;
-
-        self.prev_addr = addr;
-        self.prev_cycle = cycle;
-        self.prev_task = Some(task);
-        self.prev_region = Some(region);
-        self.prev_size = size;
-
-        if self.version >= TRACE_VERSION {
-            if let Some(segment) = self.observed_segments.last_mut() {
-                segment.accesses += 1;
-                if self.pending_first_cycle {
-                    segment.first_cycle = cycle;
-                    self.pending_first_cycle = false;
-                }
-            }
-        }
-
-        let access = Access {
-            addr: Addr::new(addr),
-            kind,
-            size,
-            task,
-            region,
-        };
-        Ok(TraceRecord {
-            processor,
-            cycle,
-            access,
-        })
-    }
-
     /// Decodes the whole remaining trace into per-processor runs, in global
     /// recorded order.
     ///
@@ -1283,22 +1445,11 @@ impl<'a> TraceReader<&'a [u8]> {
         TraceReader {
             inner: ByteSource::new(slice),
             table: RegionTable::new(),
-            table_len,
             processors,
             version: TRACE_VERSION,
-            task_dict: Vec::new(),
-            region_dict: Vec::new(),
-            prev_addr: 0,
-            prev_cycle: 0,
-            prev_task: None,
-            prev_region: None,
-            prev_size: 0,
-            current_processor: None,
+            state: DecodeState::new(table_len, TRACE_VERSION),
             done: false,
             segment_mode: true,
-            segment_open: false,
-            observed_segments: Vec::new(),
-            pending_first_cycle: false,
             directory: None,
             end_offset: 0,
         }
@@ -1320,8 +1471,11 @@ impl<R: Read> Iterator for TraceReader<R> {
 /// rejected with a [`CodecError`], never a panic), so holders of an
 /// `EncodedTrace` can decode it without error handling surprises.
 ///
-/// The decoded runs are cached lazily, so a sweep replaying one `Arc`'d
-/// trace across many organisations decodes it once.
+/// Validation keeps only the summary and the segment directory; the
+/// records stay encoded. Consumers stream them from
+/// [`reader`](EncodedTrace::reader) — the L1 filter pass decodes straight
+/// into the private caches — and only the few that need raw access runs
+/// materialise them, lazily, through [`runs`](EncodedTrace::runs).
 #[derive(Debug, Clone)]
 pub struct EncodedTrace {
     bytes: Vec<u8>,
@@ -1332,11 +1486,12 @@ pub struct EncodedTrace {
     /// Absolute offset of the END tag — the exclusive byte bound of the
     /// last segment.
     body_end: u64,
+    content_hash: OnceLock<u64>,
     decoded_runs: OnceLock<Vec<TraceRun>>,
 }
 
 /// Equality is over the encoded bytes (the table and summary derive from
-/// them; the lazy run cache is ignored).
+/// them; the lazy caches are ignored).
 impl PartialEq for EncodedTrace {
     fn eq(&self, other: &Self) -> bool {
         self.bytes == other.bytes
@@ -1354,26 +1509,29 @@ impl EncodedTrace {
     /// unsupported version or has trailing garbage after its END record.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, CodecError> {
         let mut reader = TraceReader::new(bytes.as_slice())?;
-        // Validation must walk every record anyway, so keep the decoded
-        // runs and seed the lazy cache — the stream is parsed exactly once.
-        let decoded = reader.collect_runs()?;
-        let accesses = decoded.iter().map(|r| r.accesses.len() as u64).sum();
-        let runs = decoded.len() as u64;
-        let processors = reader.processors();
+        let mut accesses = 0u64;
+        let mut runs = 0u64;
+        let mut processor = None;
+        while let Some(record) = reader.next_record()? {
+            accesses += 1;
+            // The run rule of `collect_runs`: a new run only when the
+            // processor changes.
+            if processor != Some(record.processor) {
+                processor = Some(record.processor);
+                runs += 1;
+            }
+        }
         if reader.inner.has_more()? {
             return Err(CodecError::Corrupt {
                 reason: "trailing bytes after END record",
             });
         }
+        let processors = reader.processors();
         let directory = reader.directory.take().unwrap_or_default();
         let body_end = reader.end_offset;
         let segments = directory.len() as u64;
         let table = reader.table;
         let encoded_bytes = bytes.len() as u64;
-        let decoded_runs = OnceLock::new();
-        decoded_runs
-            .set(decoded)
-            .expect("freshly created cache is empty");
         Ok(EncodedTrace {
             bytes,
             table,
@@ -1386,7 +1544,8 @@ impl EncodedTrace {
             },
             directory,
             body_end,
-            decoded_runs,
+            content_hash: OnceLock::new(),
+            decoded_runs: OnceLock::new(),
         })
     }
 
@@ -1419,9 +1578,12 @@ impl EncodedTrace {
 
     /// Content hash of the encoded bytes — the identity a curve sidecar
     /// (see [`crate::curves`]) embeds to prove it was measured over this
-    /// trace.
+    /// trace. Computed on first use and memoised, so a long-lived trace
+    /// (the `serve` store's) is hashed at most once.
     pub fn content_hash(&self) -> u64 {
-        crate::curves::trace_content_hash(&self.bytes)
+        *self
+            .content_hash
+            .get_or_init(|| crate::curves::trace_content_hash(&self.bytes))
     }
 
     /// The region table embedded in the trace.
@@ -1496,14 +1658,33 @@ impl EncodedTrace {
 
     /// The trace decoded into per-processor runs in global recorded order.
     ///
-    /// The decode happens once per trace and is cached, so replaying the
-    /// same trace under many organisations pays the codec cost a single
-    /// time.
+    /// The runs are materialised on first use and cached. Replay and
+    /// profiling never call this — they stream [`reader`](Self::reader) —
+    /// so it costs memory only for the consumers that need raw accesses.
     pub fn runs(&self) -> &[TraceRun] {
         self.decoded_runs.get_or_init(|| {
-            self.reader()
-                .collect_runs()
-                .expect("validated at construction")
+            // The summary gives exact sizes: decode every access into one
+            // array, then copy each run out at its exact length, instead of
+            // growing every run's vector by doubling.
+            let mut accesses = Vec::with_capacity(self.summary.accesses as usize);
+            let mut starts: Vec<(u32, u64, usize)> = Vec::with_capacity(self.summary.runs as usize);
+            let mut reader = self.reader();
+            while let Some(record) = reader.next_record().expect("validated at construction") {
+                if starts.last().map(|&(p, _, _)| p) != Some(record.processor) {
+                    starts.push((record.processor, record.cycle, accesses.len()));
+                }
+                accesses.push(record.access);
+            }
+            let ends = starts.iter().skip(1).map(|&(_, _, start)| start);
+            starts
+                .iter()
+                .zip(ends.chain([accesses.len()]))
+                .map(|(&(processor, start_cycle, start), end)| TraceRun {
+                    processor,
+                    start_cycle,
+                    accesses: accesses[start..end].to_vec(),
+                })
+                .collect()
         })
     }
 
@@ -1515,13 +1696,10 @@ impl EncodedTrace {
     /// [`runs`](EncodedTrace::runs) run for run.
     ///
     /// Traces without a directory (v1 streams, empty traces) fall back to
-    /// the cached serial decode. Note that [`from_bytes`] already pays one
-    /// serial validation decode and seeds the `runs` cache, so this entry
-    /// point wins only for consumers that slice a trace *without* holding
-    /// its full validated form — it is the decode primitive the
-    /// segment-jobs replay path and future mmap-style slicing build on.
-    ///
-    /// [`from_bytes`]: EncodedTrace::from_bytes
+    /// the cached serial decode. Nothing calls this outside tests: the
+    /// segment-jobs filter pass materialises through the lazy
+    /// [`runs`](EncodedTrace::runs) cache, and the serial filter streams
+    /// the records without materialising them at all.
     pub fn segment_runs_parallel(&self, jobs: usize) -> Vec<TraceRun> {
         let count = self.segment_count();
         if count == 0 {

@@ -703,7 +703,20 @@ impl EncodedCurves {
     ///
     /// Returns [`CodecError::SidecarMismatch`] on a hash mismatch.
     pub fn validate_for_trace(&self, trace_bytes: &[u8]) -> Result<(), CodecError> {
-        if self.header.trace_hash != trace_content_hash(trace_bytes) {
+        self.validate_for_hash(trace_content_hash(trace_bytes))
+    }
+
+    /// Checks that this sidecar was measured over the trace whose
+    /// [`trace_content_hash`] is `trace_hash` — the form for callers that
+    /// hold the hash already (an
+    /// [`EncodedTrace`](crate::EncodedTrace) memoises its own), so no
+    /// trace bytes are re-hashed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::SidecarMismatch`] on a hash mismatch.
+    pub fn validate_for_hash(&self, trace_hash: u64) -> Result<(), CodecError> {
+        if self.header.trace_hash != trace_hash {
             return Err(CodecError::SidecarMismatch {
                 field: "trace hash",
             });

@@ -20,6 +20,12 @@
 //!   [`LaneDecision`] per organisation — a real split for the
 //!   set-partitioned scenario, a reported fallback for the other three —
 //!   and *requiring* lanes on an ineligible scenario is a typed error.
+//!
+//! A fifth claim pins the serial filter pass itself: streaming the
+//! encoded records straight into the L1s yields exactly the refills and
+//! L1 statistics of the runs-based per-processor pass, on a generated zoo
+//! mix (tiny runs, every access L2-bound), on a trace whose runs cross
+//! segment seams, and on both tiny recordings.
 
 use std::fs;
 use std::sync::Arc;
@@ -31,12 +37,15 @@ use compmem::{CoreError, WindowConfig};
 use compmem_cache::{
     CacheConfig, CacheSizeLattice, OrganizationSpec, PartitionKey, PartitionMap, WayAllocation,
 };
+use compmem_platform::PlatformConfig;
 use compmem_platform::{
     profile_trace, profile_trace_windowed, profile_trace_windowed_lanes,
     profile_trace_with_sidecar, profile_trace_with_sidecar_lanes, LaneIneligibility, PlatformError,
     PreparedTrace, SidecarOutcome,
 };
-use compmem_trace::RegionTable;
+use compmem_trace::codec::{EncodedTrace, TraceWriter};
+use compmem_trace::gen::{generate, GenKind, GenSpec, GenTask};
+use compmem_trace::{Access, Addr, RegionId, RegionKind, RegionTable, TaskId};
 use compmem_workloads::apps::{
     jpeg_canny_app, mpeg2_app, Application, JpegCannyParams, Mpeg2Params,
 };
@@ -321,5 +330,124 @@ fn requiring_lanes_on_an_ineligible_scenario_is_a_typed_error() {
             );
         }
         other => panic!("expected a LanesIneligible error, got {other:?}"),
+    }
+}
+
+/// The streamed serial filter pass (`filtered_for`: records decoded
+/// straight into the L1s, no materialised runs) against the runs-based
+/// per-processor pass (`filtered_for_jobs(…, 3)`), refill for refill and
+/// counter for counter, on two independent preparations of one trace.
+fn assert_streamed_filter_matches_runs_based(trace: &EncodedTrace, name: &str) {
+    assert!(
+        trace.processors() > 1,
+        "{name}: the runs-based pass needs several processors to split"
+    );
+    let platform = PlatformConfig::default();
+    let streamed = PreparedTrace::from(trace.clone())
+        .filtered_for(&platform)
+        .expect("streamed filtering succeeds");
+    let runs_based = PreparedTrace::from(trace.clone())
+        .filtered_for_jobs(&platform, 3)
+        .expect("runs-based filtering succeeds");
+    assert_eq!(
+        streamed.runs.len() as u64,
+        trace.summary().runs,
+        "{name}: the streamed pass must follow the decoder's run rule"
+    );
+    assert_eq!(
+        streamed.l1_aggregate, runs_based.l1_aggregate,
+        "{name}: L1 aggregate statistics"
+    );
+    assert_eq!(streamed.runs, runs_based.runs, "{name}: filtered runs");
+    assert_eq!(*streamed, *runs_based, "{name}");
+}
+
+#[test]
+fn streamed_filter_matches_runs_based_on_a_generated_zoo_mix() {
+    // The `zoo_mix` shape in miniature: a pointer chase larger than the L1
+    // interleaved with four times as many streaming-scan accesses, so
+    // runs are a handful of accesses long and nearly every access misses
+    // the L1.
+    let trace = generate(&GenSpec::mix(
+        vec![
+            GenTask {
+                kind: GenKind::Chase {
+                    working_set_bytes: 24 * 1024,
+                },
+                accesses: 3_000,
+            },
+            GenTask {
+                kind: GenKind::Scan {
+                    footprint_bytes: 256 * 1024,
+                },
+                accesses: 12_000,
+            },
+        ],
+        42,
+    ))
+    .expect("valid zoo spec generates");
+    assert!(
+        trace.summary().runs * 3 > trace.accesses(),
+        "runs average under three accesses"
+    );
+    assert_streamed_filter_matches_runs_based(&trace, "zoo mix");
+    let filtered = PreparedTrace::from(trace.clone())
+        .filtered_for(&PlatformConfig::default())
+        .unwrap();
+    let refills: u64 = filtered.runs.iter().map(|r| r.refills.len() as u64).sum();
+    assert!(
+        refills * 10 > trace.accesses() * 9,
+        "nearly every access of the mix is L2-bound"
+    );
+}
+
+#[test]
+fn streamed_filter_matches_runs_based_across_segment_seams() {
+    // Three processors issuing runs of 5–40 accesses into segments of 16
+    // accesses: most runs straddle at least one seam, where the segment
+    // reset must not split them.
+    let mut table = RegionTable::new();
+    for p in 0..3u32 {
+        table
+            .insert(
+                format!("p{p}.data"),
+                RegionKind::TaskData {
+                    task: TaskId::new(p),
+                },
+                64 * 1024,
+            )
+            .unwrap();
+    }
+    let mut writer = TraceWriter::with_segment_accesses(Vec::new(), &table, 3, 16).unwrap();
+    let mut cycle = 0u64;
+    for run in 0..120u64 {
+        let processor = (run % 3) as u32;
+        let task = TaskId::new(processor);
+        let base = table.region(RegionId::new(processor)).base.value();
+        for i in 0..5 + (run * 7) % 36 {
+            let addr = Addr::new(base + ((run * 13 + i * 5) % 700) * 24);
+            let access = if i % 3 == 0 {
+                Access::store(addr, 4, task, RegionId::new(processor))
+            } else {
+                Access::load(addr, 4, task, RegionId::new(processor))
+            };
+            writer.record(processor, cycle, &access);
+            cycle += 1;
+        }
+    }
+    let (bytes, _) = writer.finish().unwrap();
+    let trace = EncodedTrace::from_bytes(bytes).unwrap();
+    assert_eq!(trace.summary().runs, 120);
+    assert!(trace.segment_count() > 100);
+    assert_streamed_filter_matches_runs_based(&trace, "segment seams");
+}
+
+#[test]
+fn streamed_filter_matches_runs_based_on_tiny_recordings() {
+    for (name, trace) in [
+        ("mpeg2", recorded_shared_trace(&mpeg2_experiment())),
+        ("jpeg_canny", recorded_shared_trace(&jpeg_experiment())),
+    ] {
+        assert_streamed_filter_matches_runs_based(trace.trace(), name);
     }
 }
